@@ -110,24 +110,6 @@ func TestRunTraceInCSV(t *testing.T) {
 	}
 }
 
-func TestRunSimEngineParallelismMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cycle-engine run; skipped with -short")
-	}
-	args := []string{"-engine", "sim", "-intervals", "3", "-interval-cycles", "10000", "-work", "20000"}
-	seq, _, err := runCLI(t, append(args, "-parallelism", "1")...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := runCLI(t, append(args, "-parallelism", "4")...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != par {
-		t.Fatal("sim-engine CSV differs between 1 and 4 shards")
-	}
-}
-
 func TestRunGoldenFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cycle-engine run; skipped with -short")

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"io"
+	"path/filepath"
 	"time"
 
+	"dasesim/internal/atomicfile"
 	"dasesim/internal/core"
 	"dasesim/internal/faults"
 	"dasesim/internal/journal"
@@ -136,30 +138,31 @@ func (s *Server) finishJob(job *Job, res *JobResult, cacheHit bool, err error) {
 	status, hit, attempts := job.Status, job.CacheHit, job.Attempts
 	s.mu.Unlock()
 	s.metrics.observeJob(wall)
-	s.writeTraceFile(job)
 	s.opts.Logger.Info("job finished",
 		"job", job.ID, "status", status, "cache_hit", hit, "attempts", attempts,
 		"wall", wall.Round(time.Millisecond))
 }
 
-// finalizeLocked commits a terminal transition: job fields, metrics, the
-// done channel, and (best-effort) the journal's finished record. The caller
-// holds s.mu. A finished record that fails to commit is only logged: the
-// job's state is authoritative in memory, and on a crash the journal's
-// non-terminal records make the job re-run — which is semantically invisible
-// because results are deterministic and content-addressed.
+// finalizeLocked commits a terminal transition: job fields, the trace file,
+// the done channel, metrics, and (best-effort) the journal's finished record.
+// The caller holds s.mu, so no reader sees the terminal status before the
+// trace file is published. A finished record that fails to commit is only
+// logged: the job's state is authoritative in memory, and on a crash the
+// journal's non-terminal records make the job re-run — which is semantically
+// invisible because results are deterministic and content-addressed.
 func (s *Server) finalizeLocked(job *Job, status Status, errMsg string, res *JobResult, cacheHit bool) {
 	job.Status = status
 	job.Error = errMsg
 	job.Result = res
 	job.CacheHit = cacheHit
 	job.FinishedAt = time.Now()
-	close(job.done)
 	job.emit(s.opts.NodeID, telemetry.Event{
 		Kind: telemetry.KindJobDone, Wall: job.FinishedAt.UnixNano(),
 		App: -1, SM: -1, Job: job.ID, Note: string(status),
 		Attempt: int32(job.Attempts), CacheHit: cacheHit,
 	})
+	s.writeTraceFile(job)
+	close(job.done)
 	switch status {
 	case StatusDone:
 		s.metrics.jobsCompleted.Add(1)
@@ -180,24 +183,17 @@ func (s *Server) finalizeLocked(job *Job, status Status, errMsg string, res *Job
 	s.maybeCompactLocked()
 }
 
-// writeTraceFile dumps a finished job's trace as Chrome trace-event JSON into
-// TraceDir. Called outside the server mutex; file I/O must not block job
-// state transitions.
+// writeTraceFile publishes a finished job's trace, KindJobDone included, as
+// Chrome trace-event JSON in TraceDir. The write is atomic, so a reader finds
+// either no file or the complete one. A failure is only logged.
 func (s *Server) writeTraceFile(job *Job) {
 	if s.opts.TraceDir == "" || job.tracer == nil {
 		return
 	}
-	path := fmt.Sprintf("%s/%s.trace.json", s.opts.TraceDir, job.ID)
-	f, err := os.Create(path)
-	if err != nil {
-		s.opts.Logger.Error("trace file create failed", "job", job.ID, "err", err)
-		return
-	}
-	err = telemetry.WriteChromeTrace(f, job.tracer.Events())
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	path := filepath.Join(s.opts.TraceDir, job.ID+".trace.json")
+	if err := atomicfile.Write(path, func(w io.Writer) error {
+		return telemetry.WriteChromeTrace(w, job.tracer.Events())
+	}); err != nil {
 		s.opts.Logger.Error("trace file write failed", "job", job.ID, "path", path, "err", err)
 	}
 }
@@ -386,12 +382,6 @@ func (s *Server) simOpts() []sim.Option {
 	opts := []sim.Option{sim.WithSnapshotRetention(s.opts.SnapshotRetention)}
 	if s.opts.CheckInvariants {
 		opts = append(opts, sim.WithInvariantChecks())
-	}
-	if n := s.opts.Parallelism; n != 0 {
-		if n < 0 {
-			n = 0 // sim.WithParallelism(0) means GOMAXPROCS
-		}
-		opts = append(opts, sim.WithParallelism(n))
 	}
 	return opts
 }

@@ -102,14 +102,6 @@ type Options struct {
 	// simulation throughput, so it defaults to off; a violation fails the
 	// job with an invariant panic instead of returning corrupt numbers.
 	CheckInvariants bool
-	// Parallelism shards each simulation's cycle engine across this many
-	// bulk-synchronous workers (sim.WithParallelism): 0 (the default) keeps
-	// the sequential engine, n >= 1 uses n shards, negative means
-	// GOMAXPROCS. Results and cache keys are byte-identical either way.
-	// Note the worker pool (Workers) already runs jobs concurrently;
-	// per-job engine parallelism multiplies goroutines, so it pays off
-	// mainly on servers with more cores than concurrent jobs.
-	Parallelism int
 	// Logger receives structured request and job logs (default:
 	// slog.Default()). Use slog.New(slog.NewTextHandler(io.Discard, nil))
 	// to silence.
@@ -121,7 +113,9 @@ type Options struct {
 	// unless TraceDir is set, which implies telemetry.DefaultCapacity.
 	TraceEvents int
 	// TraceDir, when set, additionally writes each finished job's trace as
-	// Chrome trace-event JSON to <TraceDir>/<jobID>.trace.json.
+	// Chrome trace-event JSON to <TraceDir>/<jobID>.trace.json. The file is
+	// published atomically before the job is observable as terminal, at the
+	// cost of an fsync while the job's final transition is committed.
 	TraceDir string
 	// EstimateMinSMs is the default per-app minimum SM count for the
 	// online estimation endpoints' partition search (default 1).

@@ -30,19 +30,6 @@ type GPU struct {
 	ic    *icnt.ICNT
 	pool  *memreq.Pool // request recycler shared by SMs and partitions
 
-	// pools lists every request pool the engine hands out from: just
-	// {pool} for the sequential engine, one private pool per SM and per
-	// partition under WithParallelism (the pool is deliberately not
-	// concurrency-safe, and pointer identity never reaches simulated
-	// values, so per-entity pools keep the parallel engine byte-identical).
-	pools []*memreq.Pool
-
-	// parallelism is the resolved worker count of WithParallelism: 0 runs
-	// today's sequential engine, n >= 1 the phased engine with n shards.
-	// par is its persistent state (nil when sequential).
-	parallelism int
-	par         *parEngine
-
 	cycle uint64
 
 	// desired[i] is the app that should own SM i; when it differs from the
@@ -177,7 +164,6 @@ func New(cfg config.Config, profiles []kernels.Profile, alloc []int, seed uint64
 		amap:           amap,
 		ic:             icnt.New(cfg.ICNT, cfg.NumSMs, cfg.NumMCs, cfg.L2.LineBytes),
 		pool:           &memreq.Pool{},
-		parallelism:    parUnset,
 		desired:        make([]memreq.AppID, cfg.NumSMs),
 		window:         make([]appWindow, len(profiles)),
 		prioServedBase: make([]uint64, len(profiles)),
@@ -192,41 +178,17 @@ func New(cfg config.Config, profiles []kernels.Profile, alloc []int, seed uint64
 	for _, o := range opts {
 		o(g)
 	}
-	if g.parallelism == parUnset {
-		g.parallelism = envParallelism()
-	}
 	for i, p := range profiles {
 		app := newApp(memreq.AppID(i), p, seed)
 		g.apps = append(g.apps, app)
 		g.disps = append(g.disps, &dispatcher{app})
 	}
-	// newPool returns the request recycler for one SM or partition: the
-	// shared pool sequentially, a private one per entity in parallel mode.
-	g.pools = []*memreq.Pool{g.pool}
-	newPool := func() *memreq.Pool {
-		if g.parallelism == 0 {
-			return g.pool
-		}
-		p := &memreq.Pool{}
-		g.pools = append(g.pools, p)
-		return p
-	}
 	for i := 0; i < cfg.NumSMs; i++ {
-		g.sms = append(g.sms, smcore.New(i, cfg, amap, newPool()))
+		g.sms = append(g.sms, smcore.New(i, cfg, amap, g.pool))
 		g.desired[i] = memreq.InvalidApp
 	}
 	for i := 0; i < cfg.NumMCs; i++ {
-		g.parts = append(g.parts, newPartition(i, cfg, amap, len(profiles), newPool()))
-	}
-	if g.parallelism > 0 {
-		g.par = newParEngine(g, g.parallelism)
-	}
-	if g.checks != nil {
-		// WithInvariantChecks enabled hygiene mode on the shared pool when
-		// the option ran; cover the per-entity pools too.
-		for _, pl := range g.pools {
-			pl.EnableChecks()
-		}
+		g.parts = append(g.parts, newPartition(i, cfg, amap, len(profiles), g.pool))
 	}
 	smi := 0
 	for a, n := range alloc {
@@ -393,14 +355,6 @@ func (g *GPU) flushSM(sm *smcore.SM) {
 // Run advances the simulation by n cycles.
 func (g *GPU) Run(n uint64) {
 	end := g.cycle + n
-	if g.par != nil {
-		g.par.start()
-		defer g.par.stop()
-		for g.cycle < end {
-			g.stepParallel()
-		}
-		return
-	}
 	for g.cycle < end {
 		g.step()
 	}
@@ -411,27 +365,12 @@ func (g *GPU) Run(n uint64) {
 // well under a millisecond) and per-cycle overhead.
 const ctxCheckCycles = 4096
 
-// ctxCheckMaxStretch bounds how far the parallel engine stretches a chunk to
-// land the context check on an interval boundary (see RunContext). With an
-// interval longer than this many check windows, the default mid-interval
-// cadence is kept so cancellation latency stays bounded.
-const ctxCheckMaxStretch = 64
-
 // RunContext advances the simulation by n cycles, polling ctx between
 // coarse chunks so per-job timeouts and cancellation take effect promptly.
 // A simulation stopped early is left in a consistent state (FinishRun still
 // works), but callers normally discard it.
-//
-// Under WithParallelism the chunks are sized so the poll lands on interval
-// boundaries whenever the configured interval is within ctxCheckMaxStretch
-// check windows: an early return then leaves only whole, snapshotted
-// intervals behind rather than a partially accumulated one.
 func (g *GPU) RunContext(ctx context.Context, n uint64) error {
 	end := g.cycle + n
-	if g.par != nil {
-		g.par.start()
-		defer g.par.stop()
-	}
 	for g.cycle < end {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -440,29 +379,17 @@ func (g *GPU) RunContext(ctx context.Context, n uint64) error {
 			return err
 		}
 		chunk := end - g.cycle
-		limit := uint64(ctxCheckCycles)
-		if g.par != nil {
-			if toNext := g.intervalStart + g.cfg.IntervalCycles - g.cycle; toNext <= ctxCheckCycles*ctxCheckMaxStretch {
-				limit = toNext
-			}
+		if chunk > ctxCheckCycles {
+			chunk = ctxCheckCycles
 		}
-		if chunk > limit {
-			chunk = limit
-		}
-		if g.par != nil {
-			for i := uint64(0); i < chunk; i++ {
-				g.stepParallel()
-			}
-		} else {
-			for i := uint64(0); i < chunk; i++ {
-				g.step()
-			}
+		for i := uint64(0); i < chunk; i++ {
+			g.step()
 		}
 	}
 	return nil
 }
 
-// step advances exactly one core cycle on the sequential engine.
+// step advances exactly one core cycle.
 func (g *GPU) step() {
 	now := g.cycle
 
@@ -475,106 +402,75 @@ func (g *GPU) step() {
 		sm.Cycle(now)
 	}
 
-	// 2. SM outboxes into the interconnect.
+	// 2. SM outboxes into the interconnect (up to 2 injections per SM per
+	// cycle; the crossbar's per-port serialization does fine-grained
+	// pacing). Injection order across SMs is determinism-critical: it
+	// decides which request wins the last slot of a filling partition queue.
 	for _, sm := range g.sms {
-		g.injectSM(sm, now)
+		if sm.OutboxLen() == 0 {
+			continue
+		}
+		for k := 0; k < 2; k++ {
+			r := sm.PeekOutbox()
+			if r == nil {
+				break
+			}
+			part := g.amap.Partition(r.Addr)
+			if !g.ic.CanSendToMem(part) {
+				break
+			}
+			g.ic.SendToMem(part, sm.PopOutbox(), now)
+		}
 	}
 
-	// 3. Partitions: pop arrived requests into L2, run DRAM, emit replies.
+	// 3. Partitions: pop arrived requests into L2, run DRAM, emit replies
+	// (up to 4 per cycle; the order across partitions is
+	// determinism-critical too, through reply-queue fullness).
 	for pi, p := range g.parts {
-		g.partitionInput(p, pi, now)
-		g.partitionOutput(p, pi, now)
+		// Replay a previously blocked request first.
+		if p.replay != nil {
+			if p.access(p.replay, now) {
+				p.replay = nil
+			}
+		}
+		for k := 0; k < p.l2PerCycle && p.replay == nil && !p.backlogged(); k++ {
+			r := g.ic.RecvAtMem(pi, now)
+			if r == nil {
+				break
+			}
+			if !p.access(r, now) {
+				p.replay = r
+			}
+		}
+		p.cycle(now)
+		for k := 0; k < 4; k++ {
+			r := p.popReply(now)
+			if r == nil {
+				break
+			}
+			if !g.ic.CanSendToSM(r.SM) {
+				// Put it back; try next cycle.
+				p.replies.PushBack(timedReq{r, now})
+				break
+			}
+			g.ic.SendToSM(pi, r, now)
+		}
 	}
 
 	// 4. Replies into SMs.
 	for si, sm := range g.sms {
-		g.deliverReplies(si, sm, now)
+		if g.ic.InFlightToSM(si) == 0 {
+			continue
+		}
+		for {
+			r := g.ic.RecvAtSM(si, now)
+			if r == nil {
+				break
+			}
+			sm.DeliverReply(r, now)
+		}
 	}
 
-	g.finishCycle()
-}
-
-// injectSM moves requests from one SM's outbox into the interconnect (up to
-// 2 injections per SM per cycle; the crossbar's per-port serialization does
-// fine-grained pacing). Injection order across SMs is determinism-critical:
-// it decides which request wins the last slot of a filling partition queue.
-func (g *GPU) injectSM(sm *smcore.SM, now uint64) {
-	if sm.OutboxLen() == 0 {
-		return
-	}
-	for k := 0; k < 2; k++ {
-		r := sm.PeekOutbox()
-		if r == nil {
-			break
-		}
-		part := g.amap.Partition(r.Addr)
-		if !g.ic.CanSendToMem(part) {
-			break
-		}
-		g.ic.SendToMem(part, sm.PopOutbox(), now)
-	}
-}
-
-// partitionInput advances one partition: replays a blocked request, pops
-// arrived requests into the L2, and cycles the DRAM controller. It touches
-// only partition-local state plus the partition's own inbound crossbar FIFO,
-// so calls on different partitions may run concurrently.
-func (g *GPU) partitionInput(p *partition, pi int, now uint64) {
-	// Replay a previously blocked request first.
-	if p.replay != nil {
-		if p.access(p.replay, now) {
-			p.replay = nil
-		}
-	}
-	for k := 0; k < p.l2PerCycle && p.replay == nil && !p.backlogged(); k++ {
-		r := g.ic.RecvAtMem(pi, now)
-		if r == nil {
-			break
-		}
-		if !p.access(r, now) {
-			p.replay = r
-		}
-	}
-	p.cycle(now)
-}
-
-// partitionOutput injects one partition's ready replies into the
-// interconnect (up to 4 per cycle). Like injectSM, the order across
-// partitions is determinism-critical (reply-queue fullness coupling).
-func (g *GPU) partitionOutput(p *partition, pi int, now uint64) {
-	for k := 0; k < 4; k++ {
-		r := p.popReply(now)
-		if r == nil {
-			break
-		}
-		if !g.ic.CanSendToSM(r.SM) {
-			// Put it back; try next cycle.
-			p.replies.PushBack(timedReq{r, now})
-			break
-		}
-		g.ic.SendToSM(pi, r, now)
-	}
-}
-
-// deliverReplies drains one SM's inbound crossbar FIFO into the SM. It
-// touches only SM-local state plus that FIFO, so calls on different SMs may
-// run concurrently.
-func (g *GPU) deliverReplies(si int, sm *smcore.SM, now uint64) {
-	if g.ic.InFlightToSM(si) == 0 {
-		return
-	}
-	for {
-		r := g.ic.RecvAtSM(si, now)
-		if r == nil {
-			break
-		}
-		sm.DeliverReply(r, now)
-	}
-}
-
-// finishCycle runs the sequential tail of a step: reassignment progress, the
-// cycle increment, interval snapshots, and the debug sweep.
-func (g *GPU) finishCycle() {
 	// 5. Progress any pending reassignment.
 	g.applyDesired()
 

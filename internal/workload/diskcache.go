@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 
+	"dasesim/internal/atomicfile"
 	"dasesim/internal/config"
 	"dasesim/internal/kernels"
 	"dasesim/internal/sim"
@@ -24,14 +26,14 @@ type DiskCache struct {
 }
 
 // NewDiskCache builds a cache persisting under dir (created if needed).
-func NewDiskCache(cfg config.Config, cycles uint64, seed uint64, dir string, simOpts ...sim.Option) (*DiskCache, error) {
+func NewDiskCache(cfg config.Config, cycles uint64, seed uint64, dir string) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("workload: cache dir: %w", err)
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v|%d|%d", cfg, cycles, seed)
 	return &DiskCache{
-		inner: NewAloneCache(cfg, cycles, seed, simOpts...),
+		inner: NewAloneCache(cfg, cycles, seed),
 		dir:   dir,
 		tag:   fmt.Sprintf("%x", h.Sum64()),
 	}, nil
@@ -70,15 +72,9 @@ func (d *DiskCache) GetContext(ctx context.Context, p kernels.Profile) (*sim.Res
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("workload: marshal alone result: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return nil, fmt.Errorf("workload: persist alone result: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := atomicfile.Write(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(r)
+	}); err != nil {
 		return nil, fmt.Errorf("workload: persist alone result: %w", err)
 	}
 	return r, nil
